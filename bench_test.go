@@ -11,6 +11,7 @@ package popcount_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"popcount"
@@ -516,6 +517,23 @@ func BenchmarkBackupExactCountEngine(b *testing.B) {
 	})
 }
 
+// quickSuiteIDs are the tables exp.All returns, in order: E1–E24, then
+// the ablations A1–A3.
+var quickSuiteIDs = []string{
+	"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12",
+	"E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20", "E21", "E22", "E23", "E24",
+	"A1", "A2", "A3",
+}
+
+// tableIDs lists the IDs of tables in order.
+func tableIDs(tables []exp.Table) []string {
+	ids := make([]string, len(tables))
+	for i, t := range tables {
+		ids[i] = t.ID
+	}
+	return ids
+}
+
 // BenchmarkQuickSuite runs the whole quick experiment suite once per
 // iteration — the full reproduction in one knob (also exercised by
 // cmd/popbench).
@@ -525,8 +543,8 @@ func BenchmarkQuickSuite(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		tables := exp.All(exp.Options{Quick: true, Parallelism: 8, Trials: 2, Seed: uint64(19 + i)})
-		if len(tables) != 22 {
-			b.Fatalf("expected 22 tables, got %d", len(tables))
+		if got := tableIDs(tables); !reflect.DeepEqual(got, quickSuiteIDs) {
+			b.Fatalf("suite returned tables %v, want %v", got, quickSuiteIDs)
 		}
 	}
 }

@@ -8,14 +8,14 @@
 // stays frozen across the epoch. The planner samples that multinomial by
 // a chain of conditional binomials (rows over initiator states, then
 // responders within each row), resolves every sampled pair type through
-// a transition matrix derived once per protocol (DeterministicDelta,
-// falling back to per-interaction Delta calls for randomized pairs), and
-// applies the net count deltas in bulk.
+// a slot-indexed transition table derived from the protocol
+// (DeterministicDelta, falling back to per-interaction Delta calls for
+// randomized pairs), and applies the net count deltas in bulk.
 //
 // Fidelity is controlled pre-leap, in the standard τ-leaping way: before
 // sampling, the planner computes each state's expected count-change rate
-// from the cached transition matrix and sizes τ so that the expected
-// net change of every state stays within half the drift bound
+// from the transition table and sizes τ so that the expected net change
+// of every state stays within half the drift bound
 // max(1, drift·count). Sized this way, a sampled epoch is applied
 // essentially always, so the applied transition counts are unbiased
 // draws at the frozen rates and the only systematic error is the
@@ -49,15 +49,15 @@
 // to end.
 package sim
 
-// DeterministicDelta is the optional transition-matrix fast path of the
+// DeterministicDelta is the optional transition-table fast path of the
 // batch-stepping mode. DeltaDet reports the successor pair of δ(qu, qv)
 // when the transition is deterministic and consumes no synthetic coins;
 // ok=false marks randomized pairs, which the engine resolves with one
 // Delta call per interaction instead of one table lookup per pair type.
 // DeltaDet must agree exactly with Delta on every pair it claims (the
-// engine derives and caches the per-pair transition matrix from it),
-// and like SelfLoop it may be incomplete: returning ok=false for a
-// deterministic pair only costs speed, never correctness.
+// engine derives its per-pair transition table from it), and like
+// SelfLoop it may be incomplete: returning ok=false for a deterministic
+// pair only costs speed, never correctness.
 type DeterministicDelta interface {
 	DeltaDet(qu, qv uint64) (qu2, qv2 uint64, ok bool)
 }
@@ -88,16 +88,19 @@ type pairCount struct {
 	m    int64
 }
 
-// pair-classification kinds cached per ordered dense state pair.
+// pair-classification kinds of the transition table. The zero kind
+// marks a cell not yet derived since its slots were assigned.
 const (
-	pairRandomized = iota // resolve with one Delta call per interaction
-	pairDet               // deterministic: bulk-apply the cached net moves
-	pairNoop              // identity on the configuration: no deltas
+	pairUnclassified = iota
+	pairRandomized   // resolve with one Delta call per interaction
+	pairDet          // deterministic: bulk-apply the cached net moves
+	pairNoop         // identity on the configuration: no deltas
 )
 
-// detEntry is the cached transition-matrix entry of one ordered dense
-// pair: its kind and, for deterministic pairs, the netted count moves
-// (at most four states change, by ±1 or ±2 agents each).
+// detEntry is the transition-table entry of one ordered dense pair: its
+// kind and, for deterministic pairs, the netted count moves (at most
+// four states change, by ±1 or ±2 agents each). An entry is a pure
+// function of the pair's two state codes.
 type detEntry struct {
 	kind uint8
 	nm   uint8 // number of netted moves
@@ -105,26 +108,84 @@ type detEntry struct {
 	d    [4]int16
 }
 
+// sparseVec is a per dense state accumulator that remembers the
+// entries it touched, so clearing costs O(touched), not O(discovered).
+type sparseVec[T int64 | float64] struct {
+	val     []T
+	seen    []bool
+	touched []int
+}
+
+// add accumulates v into entry idx, growing the vector on first sight
+// of a freshly discovered state.
+func (sv *sparseVec[T]) add(idx int, v T) {
+	for idx >= len(sv.val) {
+		sv.val = append(sv.val, 0)
+		sv.seen = append(sv.seen, false)
+	}
+	if !sv.seen[idx] {
+		sv.seen[idx] = true
+		sv.touched = append(sv.touched, idx)
+	}
+	sv.val[idx] += v
+}
+
+// reset clears every touched entry.
+func (sv *sparseVec[T]) reset() {
+	for _, idx := range sv.touched {
+		sv.val[idx] = 0
+		sv.seen[idx] = false
+	}
+	sv.touched = sv.touched[:0]
+}
+
+// addPairFlow adds the per-interaction rate lam of the classified,
+// non-noop ordered pair (i, j) to the expected change rates of the
+// states its transition touches: lam·|d| for every netted move of a
+// deterministic pair, lam to both source states of a randomized one.
+func addPairFlow(flow *sparseVec[float64], ent *detEntry, i, j int, lam float64) {
+	if ent.kind != pairDet {
+		flow.add(i, lam)
+		flow.add(j, lam)
+		return
+	}
+	for x := 0; x < int(ent.nm); x++ {
+		d := float64(ent.d[x])
+		if d < 0 {
+			d = -d
+		}
+		flow.add(int(ent.idx[x]), lam*d)
+	}
+}
+
 // batchPlanner holds the batch-stepping state and scratch of one
 // CountEngine.
+//
+// The transition table caches one detEntry per ordered pair of states
+// holding a slot: cell slot(i)·side+slot(j). Slots change only in
+// syncSlots, at the top of every planned epoch, so between syncs every
+// slot and every classified cell stays valid (an entry depends on the
+// two codes only, never on counts). The table is derived state: it is
+// never serialized, and a restored engine rebuilds it on first use.
 type batchPlanner struct {
 	maxTau int64   // epoch cap: BatchMaxRounds·n
 	drift  float64 // relative per-state drift bound
 
-	dd  DeterministicDelta  // nil: every pair is resolved via Delta
-	det map[uint64]detEntry // ordered dense pair -> transition matrix
+	dd DeterministicDelta // nil: every pair is resolved via Delta
+
+	slot  []int32    // dense index -> slot, -1 without one
+	owner []int32    // slot -> dense index, -1 when free
+	free  []int32    // free slots
+	side  int        // table side: a power of two, len(owner)
+	table []detEntry // side×side transition table, row-major by initiator slot
 
 	cool    int64 // remaining exact-stepping backoff
 	coolLen int64 // next backoff length (doubles on repeat failures)
 	bottom  bool  // the last epoch cascaded into the exact fallback
 
-	plan    []pairCount // scratch: current epoch's sampled pair types
-	delta   []int64     // scratch: per dense state net count change
-	seen    []bool      // scratch: delta[idx] has been touched
-	touched []int       // scratch: indices with seen set
-	flow    []float64   // scratch: per dense state expected change rate
-	fseen   []bool
-	ftouch  []int
+	plan  []pairCount        // scratch: current epoch's sampled pair types
+	delta sparseVec[int64]   // scratch: per dense state net count change
+	flow  sparseVec[float64] // scratch: per dense state expected change rate
 }
 
 // newBatchPlanner wires batch stepping for an engine over n agents.
@@ -140,7 +201,6 @@ func newBatchPlanner(p CountProtocol, cfg Config, n int64) *batchPlanner {
 	bp := &batchPlanner{
 		maxTau:  int64(rounds) * n,
 		drift:   drift,
-		det:     make(map[uint64]detEntry),
 		coolLen: batchCoolBase,
 	}
 	bp.dd, _ = p.(DeterministicDelta)
@@ -157,49 +217,95 @@ func (bp *batchPlanner) backoff() {
 	}
 }
 
-// add accumulates a count delta for dense state idx, growing the
-// scratch on first sight of a freshly discovered state.
-func (bp *batchPlanner) add(idx int, d int64) {
-	for idx >= len(bp.delta) {
-		bp.delta = append(bp.delta, 0)
-		bp.seen = append(bp.seen, false)
+// syncSlots gives every occupied state a transition-table slot: slots
+// of states that emptied since the last sync are freed, their row and
+// column cleared, and each occupied state without a slot takes a free
+// one, doubling the table side when none is left. The side therefore
+// never exceeds twice the largest occupancy ever planned.
+func (e *CountEngine) syncSlots() {
+	bp, counts := e.bp, e.c.counts
+	for s, idx := range bp.owner {
+		if idx < 0 || counts[idx] != 0 {
+			continue
+		}
+		bp.slot[idx], bp.owner[s] = -1, -1
+		bp.free = append(bp.free, int32(s))
+		bp.clearSlot(s)
 	}
-	if !bp.seen[idx] {
-		bp.seen[idx] = true
-		bp.touched = append(bp.touched, idx)
+	for len(bp.slot) < len(e.c.codes) {
+		bp.slot = append(bp.slot, -1)
 	}
-	bp.delta[idx] += d
+	// Every slot still held belongs to an occupied state, so the table
+	// must seat exactly the occupied list.
+	if len(e.occ) > bp.side {
+		bp.growTable(len(e.occ))
+	}
+	for _, idx := range e.occ {
+		if bp.slot[idx] >= 0 {
+			continue
+		}
+		s := bp.free[len(bp.free)-1]
+		bp.free = bp.free[:len(bp.free)-1]
+		bp.slot[idx], bp.owner[s] = s, int32(idx)
+	}
 }
 
-// reset clears the delta scratch.
-func (bp *batchPlanner) reset() {
-	for _, idx := range bp.touched {
-		bp.delta[idx] = 0
-		bp.seen[idx] = false
+// clearSlot resets slot s's row and column to unclassified.
+func (bp *batchPlanner) clearSlot(s int) {
+	clear(bp.table[s*bp.side : (s+1)*bp.side])
+	for r := s; r < len(bp.table); r += bp.side {
+		bp.table[r] = detEntry{}
 	}
-	bp.touched = bp.touched[:0]
 }
 
-// addFlow accumulates an expected-change rate for dense state idx.
-func (bp *batchPlanner) addFlow(idx int, f float64) {
-	for idx >= len(bp.flow) {
-		bp.flow = append(bp.flow, 0)
-		bp.fseen = append(bp.fseen, false)
+// growTable doubles the table side until need slots fit, keeping every
+// slot and classified cell.
+func (bp *batchPlanner) growTable(need int) {
+	side := max(bp.side, 1)
+	for side < need {
+		side *= 2
 	}
-	if !bp.fseen[idx] {
-		bp.fseen[idx] = true
-		bp.ftouch = append(bp.ftouch, idx)
+	table := make([]detEntry, side*side)
+	for s := 0; s < bp.side; s++ {
+		copy(table[s*side:s*side+bp.side], bp.table[s*bp.side:(s+1)*bp.side])
 	}
-	bp.flow[idx] += f
+	for s := bp.side; s < side; s++ {
+		bp.owner = append(bp.owner, -1)
+		bp.free = append(bp.free, int32(s))
+	}
+	bp.side, bp.table = side, table
 }
 
-// resetFlow clears the flow scratch.
-func (bp *batchPlanner) resetFlow() {
-	for _, idx := range bp.ftouch {
-		bp.flow[idx] = 0
-		bp.fseen[idx] = false
+// entry returns the table cell of the ordered dense pair (i, j); both
+// states must hold slots.
+func (bp *batchPlanner) entry(i, j int) *detEntry {
+	return &bp.table[int(bp.slot[i])*bp.side+int(bp.slot[j])]
+}
+
+// tauFromFlow returns the largest τ that keeps every state's expected
+// net change (the accumulated flow times τ) within half its drift
+// bound max(1, drift·count), and clears the flow scratch. frozen
+// reports an empty flow: no occupied pair can change the configuration.
+func (bp *batchPlanner) tauFromFlow(counts []int64) (tau int64, frozen bool) {
+	if len(bp.flow.touched) == 0 {
+		return 0, true
 	}
-	bp.ftouch = bp.ftouch[:0]
+	best := float64(bp.maxTau)
+	for _, idx := range bp.flow.touched {
+		f := bp.flow.val[idx]
+		if f <= 0 {
+			continue
+		}
+		target := bp.drift * float64(counts[idx]) / 2
+		if target < 0.5 {
+			target = 0.5
+		}
+		if t := target / f; t < best {
+			best = t
+		}
+	}
+	bp.flow.reset()
+	return int64(best), false
 }
 
 // stepBatched executes exactly count interactions in pre-leap-sized,
@@ -289,15 +395,15 @@ func (e *CountEngine) stepExact(count int64) {
 	}
 }
 
-// planTau sizes the next epoch pre-leap: it accumulates every occupied
-// ordered pair's per-interaction rate λ = c[i]·(c[j]−[i=j])/(n·(n−1))
-// into the expected change rates of the states the pair's transition
-// touches (the cached net moves for deterministic pairs; the two source
-// states for randomized ones) and returns the largest τ that keeps
-// every state's expected net change within half its drift bound
-// max(1, drift·count). frozen reports that no occupied pair can change
-// the configuration at all — the chain is absorbed.
+// planTau sizes the next epoch pre-leap: it syncs the table slots,
+// accumulates every occupied ordered pair's per-interaction rate
+// λ = c[i]·(c[j]−[i=j])/(n·(n−1)) into the expected change rates of
+// the states the pair's transition touches (the cached net moves for
+// deterministic pairs; the two source states for randomized ones) and
+// sizes τ from them (tauFromFlow). frozen reports that no occupied
+// pair can change the configuration at all — the chain is absorbed.
 func (e *CountEngine) planTau() (tau int64, frozen bool) {
+	e.syncSlots()
 	bp := e.bp
 	c := e.c
 	totalW := float64(e.n) * float64(e.n-1)
@@ -315,50 +421,19 @@ func (e *CountEngine) planTau() (tau int64, frozen bool) {
 			if ent.kind == pairNoop {
 				continue
 			}
-			lam := float64(ci) * float64(w) / totalW
-			if ent.kind == pairDet {
-				for x := 0; x < int(ent.nm); x++ {
-					d := float64(ent.d[x])
-					if d < 0 {
-						d = -d
-					}
-					bp.addFlow(int(ent.idx[x]), lam*d)
-				}
-			} else {
-				bp.addFlow(i, lam)
-				bp.addFlow(j, lam)
-			}
+			addPairFlow(&bp.flow, ent, i, j, float64(ci)*float64(w)/totalW)
 		}
 	}
-	if len(bp.ftouch) == 0 {
-		return 0, true
-	}
-	best := float64(bp.maxTau)
-	for _, idx := range bp.ftouch {
-		f := bp.flow[idx]
-		if f <= 0 {
-			continue
-		}
-		target := bp.drift * float64(c.counts[idx]) / 2
-		if target < 0.5 {
-			target = 0.5
-		}
-		if t := target / f; t < best {
-			best = t
-		}
-	}
-	bp.resetFlow()
-	return int64(best), false
+	return bp.tauFromFlow(c.counts)
 }
 
-// pairEntry returns the cached transition-matrix entry for one ordered
-// dense pair, deriving it on first sight.
-func (e *CountEngine) pairEntry(i, j int) detEntry {
-	key := uint64(uint32(i))<<32 | uint64(uint32(j))
-	ent, ok := e.bp.det[key]
-	if !ok {
-		ent = e.classifyPair(i, j)
-		e.bp.det[key] = ent
+// pairEntry returns the transition-table entry for one ordered dense
+// pair whose states hold slots, classifying it on first sight since
+// the slots were assigned.
+func (e *CountEngine) pairEntry(i, j int) *detEntry {
+	ent := e.bp.entry(i, j)
+	if ent.kind == pairUnclassified {
+		*ent = e.classifyPair(i, j)
 	}
 	return ent
 }
@@ -490,7 +565,7 @@ func (e *CountEngine) applyPlan(plan []pairCount, tau int64) int64 {
 		return tau
 	}
 	e.stats.Violations++
-	e.bp.reset()
+	e.bp.delta.reset()
 	half := tau / 2
 	first, second := e.splitPlan(plan, half, tau)
 	done := e.applyPlan(first, half)
@@ -515,7 +590,7 @@ func (e *CountEngine) applyPlan(plan []pairCount, tau int64) int64 {
 	}
 	e.stats.Violations++
 	e.stats.HalfDiscards++
-	e.bp.reset()
+	e.bp.delta.reset()
 	return done
 }
 
@@ -523,12 +598,12 @@ func (e *CountEngine) applyPlan(plan []pairCount, tau int64) int64 {
 // scratch to the configuration and counts the epoch.
 func (e *CountEngine) commitDeltas() {
 	bp := e.bp
-	for _, idx := range bp.touched {
-		if d := bp.delta[idx]; d != 0 {
+	for _, idx := range bp.delta.touched {
+		if d := bp.delta.val[idx]; d != 0 {
 			e.shift(idx, d)
 		}
 	}
-	bp.reset()
+	bp.delta.reset()
 	e.stats.Epochs++
 }
 
@@ -576,7 +651,7 @@ func (e *CountEngine) resolveDeltas(plan []pairCount) bool {
 			continue
 		case pairDet:
 			for x := 0; x < int(ent.nm); x++ {
-				bp.add(int(ent.idx[x]), int64(ent.d[x])*pc.m)
+				bp.delta.add(int(ent.idx[x]), int64(ent.d[x])*pc.m)
 			}
 		default:
 			qu, qv := e.c.codes[i], e.c.codes[j]
@@ -585,10 +660,10 @@ func (e *CountEngine) resolveDeltas(plan []pairCount) bool {
 				a, b := e.p.Delta(qu, qv, e.r)
 				ia, ib := e.lookup(a, i, j), e.lookup(b, i, j)
 				if ia != i || ib != j {
-					bp.add(i, -1)
-					bp.add(j, -1)
-					bp.add(ia, 1)
-					bp.add(ib, 1)
+					bp.delta.add(i, -1)
+					bp.delta.add(j, -1)
+					bp.delta.add(ia, 1)
+					bp.delta.add(ib, 1)
 				}
 			}
 		}
@@ -610,8 +685,8 @@ func (e *CountEngine) resolveDeltas(plan []pairCount) bool {
 // the package comment on rejection censoring).
 func (e *CountEngine) safetyOK() bool {
 	bp := e.bp
-	for _, idx := range bp.touched {
-		d := bp.delta[idx]
+	for _, idx := range bp.delta.touched {
+		d := bp.delta.val[idx]
 		if d == 0 {
 			continue
 		}

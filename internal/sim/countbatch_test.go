@@ -2,10 +2,12 @@ package sim_test
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"popcount/internal/baseline"
 	"popcount/internal/clock"
+	"popcount/internal/core"
 	"popcount/internal/epidemic"
 	"popcount/internal/junta"
 	"popcount/internal/sim"
@@ -200,4 +202,54 @@ func TestCountBatchKnobs(t *testing.T) {
 			t.Fatalf("T/(n ln n) = %.2f outside plausible range (cfg %+v)", norm, cfg)
 		}
 	}
+}
+
+// batchEpochMid is the engine snapshot BenchmarkBatchEpoch resumes from:
+// Approximate at n = 2^16 on the serial batch planner, stepped once to
+// the middle of its trajectory (3.4·10⁸ of the ≈6.5·10⁸ interactions a
+// full run takes).
+var batchEpochMid struct {
+	once sync.Once
+	blob []byte
+	err  error
+}
+
+// BenchmarkBatchEpoch prices one batch-planner epoch at the fixed
+// occupancy of a mid-trajectory Approximate run (about ten occupied
+// states): every call restores the same mid-run snapshot and times b.N
+// Steps of 2^12 interactions, reporting ns/epoch and epochs per Step.
+func BenchmarkBatchEpoch(b *testing.B) {
+	const n = 1 << 16
+	mk := func() *sim.CountEngine {
+		e, err := sim.NewCountEngine(sim.NewSpecCount(core.NewApproximateSpec(core.Config{N: n}).Spec), batchCfg(5))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	mid := &batchEpochMid
+	mid.once.Do(func() {
+		e := mk()
+		e.Step(5 << 26)
+		mid.blob, mid.err = e.Snapshot()
+	})
+	if mid.err != nil {
+		b.Fatal(mid.err)
+	}
+	e := mk()
+	if err := e.Restore(mid.blob); err != nil {
+		b.Fatal(err)
+	}
+	before := e.Stats().Epochs
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step(1 << 12)
+	}
+	b.StopTimer()
+	epochs := e.Stats().Epochs - before
+	if epochs == 0 {
+		b.Fatal("no batch epoch ran")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(epochs), "ns/epoch")
+	b.ReportMetric(float64(epochs)/float64(b.N), "epochs/op")
 }

@@ -10,7 +10,7 @@
 // concurrently, following the speculative-parallel-work / serial-
 // confirm split of core-chain's trie prefetcher: the parallel phases
 // only read engine state that is frozen for the epoch, anything that
-// must mutate shared structures (transition-matrix classification,
+// must mutate shared structures (transition-table classification,
 // state discovery, the interner, the commit itself) is deferred to a
 // serial confirm step that folds shard results in ascending block
 // order. Results are therefore a deterministic function of (protocol,
@@ -20,15 +20,15 @@
 //
 // Epoch anatomy:
 //
-//  1. Flow pass (parallel): each block accumulates the pre-leap
-//     expected-change rates of its initiator rows into block-local
-//     scratch, reading the shared transition-matrix cache without
-//     writing — pairs not yet classified are parked on a block-local
-//     miss list.
-//  2. Classify + τ (serial): misses are classified in ascending block
-//     order (the only det-cache writes and state discoveries of the
-//     epoch), block flows merge in block order, and τ is sized exactly
-//     like the serial planner.
+//  1. Flow pass (parallel): after the serial slot sync (syncSlots),
+//     each block accumulates the pre-leap expected-change rates of its
+//     initiator rows into block-local scratch, reading the shared
+//     transition table without writing — pairs not yet classified are
+//     parked on a block-local miss list.
+//  2. Classify + τ (serial): block flows merge in block order, misses
+//     are classified in ascending block order (the only table writes
+//     and state discoveries of the epoch), and τ is sized exactly like
+//     the serial planner.
 //  3. Row totals (serial): the initiator-row binomial chain draws each
 //     row's share of the τ interactions from the engine stream.
 //  4. Resolve pass (parallel): blocks are re-partitioned by sampled
@@ -57,6 +57,7 @@
 package sim
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,22 +113,20 @@ type shardBlock struct {
 	lo, hi int       // occupied-list positions [lo, hi)
 	r      *rng.Rand // per-epoch private stream (reseeded at block start)
 
-	// Flow-pass scratch: per dense state expected change rate, plus the
-	// pairs whose transition-matrix entry was absent from the shared
-	// cache (classified serially after the pass).
-	flow   []float64
-	fseen  []bool
-	ftouch []int
+	// Flow-pass scratch: per dense state expected change rate, the pairs
+	// whose transition-table entry was still unclassified (classified
+	// serially after the pass), and those of them the planner had never
+	// classified before this epoch.
+	flow   sparseVec[float64]
 	misses []uint64 // packed (occ position)<<32 | responder dense index
+	fresh  []uint64 // the first-time misses, same packing and order
 
 	// Resolve-pass scratch: per dense state net count deltas, the
 	// block's ordered slice of the epoch plan, randomized pairs deferred
 	// to the serial confirm step (protocols without shard closures), and
 	// deltas on codes the engine has not yet discovered (fresh canonical
 	// or shard-provisional codes).
-	delta      []int64
-	seen       []bool
-	touched    []int
+	delta      sparseVec[int64]
 	plan       []pairCount
 	randPairs  []pairCount
 	extraIdx   map[uint64]int
@@ -138,56 +137,21 @@ type shardBlock struct {
 	violated   bool
 }
 
-// addFlow accumulates an expected-change rate for dense state idx.
-func (blk *shardBlock) addFlow(idx int, f float64) {
-	for idx >= len(blk.flow) {
-		blk.flow = append(blk.flow, 0)
-		blk.fseen = append(blk.fseen, false)
-	}
-	if !blk.fseen[idx] {
-		blk.fseen[idx] = true
-		blk.ftouch = append(blk.ftouch, idx)
-	}
-	blk.flow[idx] += f
-}
-
-// resetFlow clears the flow scratch.
-func (blk *shardBlock) resetFlow() {
-	for _, idx := range blk.ftouch {
-		blk.flow[idx] = 0
-		blk.fseen[idx] = false
-	}
-	blk.ftouch = blk.ftouch[:0]
-}
-
-// add accumulates a count delta for dense state idx.
-func (blk *shardBlock) add(idx int, d int64) {
-	for idx >= len(blk.delta) {
-		blk.delta = append(blk.delta, 0)
-		blk.seen = append(blk.seen, false)
-	}
-	if !blk.seen[idx] {
-		blk.seen[idx] = true
-		blk.touched = append(blk.touched, idx)
-	}
-	blk.delta[idx] += d
-}
-
 // addCode accumulates a +1 delta for a successor code, against the two
 // source states first, then the engine's index, then the block-local
 // extras (codes the engine discovers only at the serial merge).
 func (blk *shardBlock) addCode(e *CountEngine, code uint64, i, j int) {
 	c := e.c
 	if code == c.codes[i] {
-		blk.add(i, 1)
+		blk.delta.add(i, 1)
 		return
 	}
 	if code == c.codes[j] {
-		blk.add(j, 1)
+		blk.delta.add(j, 1)
 		return
 	}
 	if idx, ok := c.index[code]; ok {
-		blk.add(idx, 1)
+		blk.delta.add(idx, 1)
 		return
 	}
 	if blk.extraIdx == nil {
@@ -209,8 +173,8 @@ func (blk *shardBlock) applyRand(e *CountEngine, i, j int, a, b uint64) {
 	if a == c.codes[i] && b == c.codes[j] {
 		return
 	}
-	blk.add(i, -1)
-	blk.add(j, -1)
+	blk.delta.add(i, -1)
+	blk.delta.add(j, -1)
 	blk.addCode(e, a, i, j)
 	blk.addCode(e, b, i, j)
 }
@@ -222,8 +186,8 @@ func (blk *shardBlock) applyRand(e *CountEngine, i, j int, a, b uint64) {
 // their bound is the constant floor.
 func (blk *shardBlock) safetyOK(e *CountEngine) bool {
 	drift := e.bp.drift
-	for _, idx := range blk.touched {
-		d := blk.delta[idx]
+	for _, idx := range blk.delta.touched {
+		d := blk.delta.val[idx]
 		if d == 0 {
 			continue
 		}
@@ -249,11 +213,7 @@ func (blk *shardBlock) safetyOK(e *CountEngine) bool {
 
 // resetAll clears the resolve-pass scratch.
 func (blk *shardBlock) resetAll() {
-	for _, idx := range blk.touched {
-		blk.delta[idx] = 0
-		blk.seen[idx] = false
-	}
-	blk.touched = blk.touched[:0]
+	blk.delta.reset()
 	if len(blk.extraCode) > 0 {
 		clear(blk.extraIdx)
 		blk.extraCode = blk.extraCode[:0]
@@ -305,9 +265,28 @@ type shardRunner struct {
 	randFlow float64   // Σ randRow: expected randomized fraction per interaction
 	fullPlan []pairCount
 
+	// Slot history, which decides where a pair's rate joins the flow sum
+	// (see pairSeenBefore). seated lists the states that held a slot
+	// after the previous sync.
+	hist   []slotHistory // per dense state
+	seated []int
+	syncs  int64 // slot syncs so far
+
 	wake chan *shardPass
 	live atomic.Int32
 }
+
+// slotHistory records one dense state's transition-table slots.
+type slotHistory struct {
+	tenures []tenure // the syncs at which it held a slot, oldest first
+	diag    bool     // its pair with itself has been classified
+}
+
+// tenure is one run of consecutive syncs [start, end) at which a state
+// was occupied and so held a slot; end is openTenure while it holds one.
+type tenure struct{ start, end int64 }
+
+const openTenure = math.MaxInt64
 
 // newShardRunner wires intra-run sharding for an engine.
 func newShardRunner(e *CountEngine, cfg Config) *shardRunner {
@@ -440,14 +419,14 @@ func (sr *shardRunner) splitWeighted(rows int, tau int64) int {
 }
 
 // flowPass accumulates the block's pair-row rates into block-local
-// scratch, reading the shared transition-matrix cache without writing:
+// scratch, reading the shared transition table without writing:
 // unclassified pairs are parked on the miss list for the serial
-// classify step. Per-row randomized rate mass lands in randRow (block
-// position ranges are disjoint, so the shared slice has no write
-// overlap).
-func (blk *shardBlock) flowPass(e *CountEngine, randRow []float64) {
-	det := e.bp.det
-	c := e.c
+// classify step, and the pairs in skip (packed like the misses, in
+// ascending order) are left out. Per-row randomized rate mass lands in
+// randRow (block position ranges are disjoint, so the shared slice has
+// no write overlap).
+func (blk *shardBlock) flowPass(e *CountEngine, randRow []float64, skip []uint64) {
+	bp, c := e.bp, e.c
 	totalW := float64(e.n) * float64(e.n-1)
 	for pos := blk.lo; pos < blk.hi; pos++ {
 		i := e.occ[pos]
@@ -461,26 +440,21 @@ func (blk *shardBlock) flowPass(e *CountEngine, randRow []float64) {
 			if w == 0 {
 				continue
 			}
-			ent, ok := det[uint64(uint32(i))<<32|uint64(uint32(j))]
-			if !ok {
-				blk.misses = append(blk.misses, uint64(uint32(pos))<<32|uint64(uint32(j)))
+			if len(skip) > 0 && skip[0] == uint64(uint32(pos))<<32|uint64(uint32(j)) {
+				skip = skip[1:]
 				continue
 			}
-			if ent.kind == pairNoop {
+			ent := bp.entry(i, j)
+			switch ent.kind {
+			case pairUnclassified:
+				blk.misses = append(blk.misses, uint64(uint32(pos))<<32|uint64(uint32(j)))
+				continue
+			case pairNoop:
 				continue
 			}
 			lam := float64(ci) * float64(w) / totalW
-			if ent.kind == pairDet {
-				for x := 0; x < int(ent.nm); x++ {
-					d := float64(ent.d[x])
-					if d < 0 {
-						d = -d
-					}
-					blk.addFlow(int(ent.idx[x]), lam*d)
-				}
-			} else {
-				blk.addFlow(i, lam)
-				blk.addFlow(j, lam)
+			addPairFlow(&blk.flow, ent, i, j, lam)
+			if ent.kind == pairRandomized {
 				rr += lam
 			}
 		}
@@ -488,13 +462,26 @@ func (blk *shardBlock) flowPass(e *CountEngine, randRow []float64) {
 	}
 }
 
-// planTauSharded is the sharded planner's pre-leap sizing: the flow
-// pass fans out over even row blocks, then a serial step classifies the
-// det-cache misses (the epoch's only shared-state writes), merges block
-// flows in ascending block order, and sizes τ exactly like the serial
-// planTau.
+// planTauSharded is the sharded planner's pre-leap sizing: it syncs the
+// table slots, fans the flow pass out over even row blocks, then a
+// serial step classifies the pairs the blocks found unclassified (the
+// epoch's only table writes), merges block flows in ascending block
+// order, adds the rates of first-time pairs, and sizes τ exactly like
+// the serial planTau.
+//
+// Where a pair's rate joins the float sum matters bit for bit: τ is the
+// floor of a ratio that is often an exact integer, and the per-row
+// randomized mass sets the resolve-pass block split. The sums keep the
+// order of the per-pair map this table replaced, which held every pair
+// ever classified: a pair classified at an earlier epoch adds into its
+// block's sum, a first-time pair is added after the merge. A pair whose
+// state emptied and refilled is unclassified in the table but was
+// classified before, so a block holding one recomputes its sum once the
+// misses are classified.
 func (e *CountEngine) planTauSharded() (tau int64, frozen bool) {
+	e.syncSlots()
 	sr, bp, c := e.sr, e.bp, e.c
+	sr.recordTenures()
 	rows := len(e.occ)
 	if cap(sr.randRow) < rows {
 		sr.randRow = make([]float64, rows)
@@ -502,23 +489,46 @@ func (e *CountEngine) planTauSharded() (tau int64, frozen bool) {
 	sr.randRow = sr.randRow[:rows]
 	nb := sr.splitEven(rows)
 	fanned := int64(rows)*int64(rows) >= shardFanoutMinWork
-	sr.runBlocks(nb, fanned, func(b int) { sr.blocks[b].flowPass(e, sr.randRow) })
+	sr.runBlocks(nb, fanned, func(b int) { sr.blocks[b].flowPass(e, sr.randRow, nil) })
 
-	// Serial confirm: merge block flows in block order, then classify
-	// the misses — the only det-cache writes and state discoveries of
-	// the epoch, in ascending (row, responder) order.
+	// Serial confirm: classify the misses — the only table writes and
+	// state discoveries of the epoch, in ascending (row, responder)
+	// order — then merge block flows in block order and add the
+	// first-time pairs in the same order.
 	for _, blk := range sr.blocks[:nb] {
-		for _, idx := range blk.ftouch {
-			bp.addFlow(idx, blk.flow[idx])
-		}
-		blk.resetFlow()
-	}
-	totalW := float64(e.n) * float64(e.n-1)
-	for _, blk := range sr.blocks[:nb] {
+		blk.fresh = blk.fresh[:0]
+		refilled := false
 		for _, key := range blk.misses {
 			pos, j := int(key>>32), int(uint32(key))
 			i := e.occ[pos]
-			ent := e.pairEntry(i, j)
+			if sr.pairSeenBefore(i, j) {
+				refilled = true
+			} else {
+				blk.fresh = append(blk.fresh, key)
+			}
+			e.pairEntry(i, j)
+			if i == j {
+				sr.hist[i].diag = true
+			}
+		}
+		blk.misses = blk.misses[:0]
+		if refilled {
+			blk.flow.reset()
+			blk.flowPass(e, sr.randRow, blk.fresh)
+		}
+	}
+	for _, blk := range sr.blocks[:nb] {
+		for _, idx := range blk.flow.touched {
+			bp.flow.add(idx, blk.flow.val[idx])
+		}
+		blk.flow.reset()
+	}
+	totalW := float64(e.n) * float64(e.n-1)
+	for _, blk := range sr.blocks[:nb] {
+		for _, key := range blk.fresh {
+			pos, j := int(key>>32), int(uint32(key))
+			i := e.occ[pos]
+			ent := bp.entry(i, j)
 			if ent.kind == pairNoop {
 				continue
 			}
@@ -528,45 +538,69 @@ func (e *CountEngine) planTauSharded() (tau int64, frozen bool) {
 				w = ci - 1
 			}
 			lam := float64(ci) * float64(w) / totalW
-			if ent.kind == pairDet {
-				for x := 0; x < int(ent.nm); x++ {
-					d := float64(ent.d[x])
-					if d < 0 {
-						d = -d
-					}
-					bp.addFlow(int(ent.idx[x]), lam*d)
-				}
-			} else {
-				bp.addFlow(i, lam)
-				bp.addFlow(j, lam)
+			addPairFlow(&bp.flow, ent, i, j, lam)
+			if ent.kind == pairRandomized {
 				sr.randRow[pos] += lam
 			}
 		}
-		blk.misses = blk.misses[:0]
 	}
 	sr.randFlow = 0
 	for pos := 0; pos < rows; pos++ {
 		sr.randFlow += sr.randRow[pos]
 	}
-	if len(bp.ftouch) == 0 {
-		return 0, true
+	return bp.tauFromFlow(c.counts)
+}
+
+// recordTenures extends the slot history by the sync just made: the
+// tenures of states that lost their slot end, and each newly seated
+// state opens one.
+func (sr *shardRunner) recordTenures() {
+	e, bp := sr.e, sr.e.bp
+	sr.syncs++
+	for len(sr.hist) < len(e.c.codes) {
+		sr.hist = append(sr.hist, slotHistory{})
 	}
-	best := float64(bp.maxTau)
-	for _, idx := range bp.ftouch {
-		f := bp.flow[idx]
-		if f <= 0 {
-			continue
-		}
-		target := bp.drift * float64(c.counts[idx]) / 2
-		if target < 0.5 {
-			target = 0.5
-		}
-		if t := target / f; t < best {
-			best = t
+	for _, idx := range sr.seated {
+		if bp.slot[idx] < 0 {
+			t := sr.hist[idx].tenures
+			t[len(t)-1].end = sr.syncs
 		}
 	}
-	bp.resetFlow()
-	return int64(best), false
+	for _, idx := range e.occ {
+		h := &sr.hist[idx]
+		if n := len(h.tenures); n == 0 || h.tenures[n-1].end != openTenure {
+			h.tenures = append(h.tenures, tenure{sr.syncs, openTenure})
+		}
+	}
+	sr.seated = append(sr.seated[:0], e.occ...)
+}
+
+// pairSeenBefore reports whether the planner classified the ordered
+// pair (i, j) at an earlier epoch. Every planned epoch classifies each
+// pair of occupied states except (i, i) with a single agent in i, so
+// for i ≠ j that holds exactly when both states held slots at one
+// earlier sync: some tenures of theirs, cut at the current sync,
+// overlap.
+func (sr *shardRunner) pairSeenBefore(i, j int) bool {
+	if i == j {
+		return sr.hist[i].diag
+	}
+	a, b := sr.hist[i].tenures, sr.hist[j].tenures
+	x, y := len(a)-1, len(b)-1
+	for x >= 0 && y >= 0 {
+		ta, tb := a[x], b[y]
+		if ta.start < min(tb.end, sr.syncs) && tb.start < min(ta.end, sr.syncs) {
+			return true
+		}
+		// The later-starting tenure cannot overlap any earlier one of
+		// the other state.
+		if ta.start > tb.start {
+			x--
+		} else {
+			y--
+		}
+	}
+	return false
 }
 
 // resolve is one block's resolve pass: the conditional-binomial
@@ -582,8 +616,7 @@ func (e *CountEngine) planTauSharded() (tau int64, frozen bool) {
 // outcomes, so the post-violation plan remains an exact conditional
 // sample.
 func (blk *shardBlock) resolve(e *CountEngine, rowTau []int64, delta func(qu, qv uint64, r *rng.Rand) (uint64, uint64)) {
-	c := e.c
-	det := e.bp.det
+	bp, c := e.bp, e.c
 	blk.violated = false
 	blk.deltaCalls = 0
 	sinceCheck := int64(0)
@@ -619,14 +652,14 @@ func (blk *shardBlock) resolve(e *CountEngine, rowTau []int64, delta func(qu, qv
 				continue
 			}
 			// The flow pass classified every occupied pair this epoch, so
-			// the cache read cannot miss; a zero entry would only fall
-			// through to the (always-correct) randomized path.
-			ent := det[uint64(uint32(i))<<32|uint64(uint32(j))]
+			// the table read cannot miss; an unclassified entry would only
+			// fall through to the (always-correct) randomized path.
+			ent := bp.entry(i, j)
 			switch ent.kind {
 			case pairNoop:
 			case pairDet:
 				for x := 0; x < int(ent.nm); x++ {
-					blk.add(int(ent.idx[x]), int64(ent.d[x])*m)
+					blk.delta.add(int(ent.idx[x]), int64(ent.d[x])*m)
 				}
 			default:
 				if delta == nil {
@@ -709,8 +742,8 @@ func (e *CountEngine) applyEpochSharded(tau int64) int64 {
 	}
 	if !violated {
 		for _, blk := range sr.blocks[:nb] {
-			for _, idx := range blk.touched {
-				bp.add(idx, blk.delta[idx])
+			for _, idx := range blk.delta.touched {
+				bp.delta.add(idx, blk.delta.val[idx])
 			}
 			for k, code := range blk.extraCode {
 				if len(remap) > 0 {
@@ -718,7 +751,7 @@ func (e *CountEngine) applyEpochSharded(tau int64) int64 {
 						code = canon
 					}
 				}
-				bp.add(e.stateIndex(code), blk.extraDelta[k])
+				bp.delta.add(e.stateIndex(code), blk.extraDelta[k])
 			}
 		}
 		violated = !sr.resolveDeferred(nb)
@@ -737,7 +770,7 @@ func (e *CountEngine) applyEpochSharded(tau int64) int64 {
 	// concatenation is exactly a serial planPairs plan) through the
 	// serial split/retry machinery.
 	e.stats.MergeConflicts++
-	bp.reset()
+	bp.delta.reset()
 	plan := sr.fullPlan[:0]
 	for _, blk := range sr.blocks[:nb] {
 		plan = append(plan, blk.plan...)
@@ -771,10 +804,10 @@ func (sr *shardRunner) resolveDeferred(nb int) bool {
 				a, b := e.p.Delta(qu, qv, e.r)
 				ia, ib := e.lookup(a, i, j), e.lookup(b, i, j)
 				if ia != i || ib != j {
-					bp.add(i, -1)
-					bp.add(j, -1)
-					bp.add(ia, 1)
-					bp.add(ib, 1)
+					bp.delta.add(i, -1)
+					bp.delta.add(j, -1)
+					bp.delta.add(ia, 1)
+					bp.delta.add(ib, 1)
 				}
 			}
 			sinceCheck += pc.m

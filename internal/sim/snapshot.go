@@ -442,7 +442,7 @@ func (e *Engine) Restore(data []byte) error {
 // restored engine rebuilds identical dense indices), the RNG stream,
 // the interaction counter, the deterministic run counters, and the
 // planner's cross-epoch backoff. Derived structures — cumulative
-// samplers, no-op adjacency, the cached transition matrix — are rebuilt
+// samplers, no-op adjacency, the planner's transition table — are rebuilt
 // on restore.
 func (e *CountEngine) Snapshot() ([]byte, error) {
 	enc, _ := stateCodecFor(e.p)
